@@ -2,6 +2,7 @@
 // and without evaluating transitions after the first child.
 #include <benchmark/benchmark.h>
 
+#include "asta/eval.h"
 #include "bench_util.h"
 
 namespace xpwqo {
@@ -9,23 +10,18 @@ namespace {
 
 void RunQuery(benchmark::State& state, const char* xpath, bool info_prop) {
   const Engine& engine = bench::XMarkEngine();
-  auto compiled = engine.Compile(xpath);
-  if (!compiled.ok()) {
-    state.SkipWithError(compiled.status().ToString().c_str());
+  auto query = PreparedQuery::Prepare(xpath, engine.alphabet_ptr());
+  if (!query.ok()) {
+    state.SkipWithError(query.status().ToString().c_str());
     return;
   }
-  QueryOptions options;
-  options.strategy = EvalStrategy::kOptimized;
-  options.info_propagation = info_prop;
+  const AstaEvalOptions options{true, true, info_prop};
   int64_t visited = 0;
   for (auto _ : state) {
-    auto r = engine.Run(*compiled, options);
-    if (!r.ok()) {
-      state.SkipWithError(r.status().ToString().c_str());
-      return;
-    }
-    visited = r->stats.nodes_visited;
-    benchmark::DoNotOptimize(r->nodes.data());
+    AstaEvalResult r = EvalAsta(query->asta(), engine.document(),
+                                &engine.index(), options);
+    visited = r.stats.nodes_visited;
+    benchmark::DoNotOptimize(r.nodes.data());
   }
   state.counters["visited"] = static_cast<double>(visited);
 }

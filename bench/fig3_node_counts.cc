@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <string>
 
+#include "asta/eval.h"
 #include "bench_util.h"
 #include "util/strings.h"
 
@@ -26,21 +27,23 @@ int Main() {
   std::printf("%-5s %12s %12s %12s %8s %8s\n", "query", "(1)selected",
               "(2)w/jump", "(3)wo/jump", "(4)memo", "(5)ratio");
   for (const WorkloadQuery& q : Figure2Workload()) {
-    QueryOptions opt_jump;
-    opt_jump.strategy = EvalStrategy::kOptimized;
-    auto jump = engine.Run(q.xpath, opt_jump);
+    auto query = PreparedQuery::Prepare(q.xpath, engine.alphabet_ptr());
+    if (!query.ok()) {
+      std::printf("%-5s ERROR %s\n", q.id, query.status().ToString().c_str());
+      continue;
+    }
+    auto jump = engine.Run(*query);  // kOptimized
     if (!jump.ok()) {
       std::printf("%-5s ERROR %s\n", q.id, jump.status().ToString().c_str());
       continue;
     }
-    QueryOptions opt_memo;
-    opt_memo.strategy = EvalStrategy::kMemoized;
-    auto memo = engine.Run(q.xpath, opt_memo);
-    if (!memo.ok()) continue;
+    // Line (3): the memoized run without jumping (and so without an index).
+    const AstaEvalResult memo = EvalAsta(query->asta(), engine.document(),
+                                         nullptr, {false, true, false});
 
     int64_t selected = static_cast<int64_t>(jump->nodes.size());
     int64_t with_jump = jump->stats.nodes_visited;
-    int64_t wo_jump = memo->stats.nodes_visited;
+    int64_t wo_jump = memo.stats.nodes_visited;
     int64_t memo_entries =
         jump->stats.memo_step_entries + jump->stats.memo_eval_entries;
     double ratio =

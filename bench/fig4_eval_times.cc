@@ -1,34 +1,33 @@
 // Reproduces Figure 4: query answering time per query for the four
-// evaluator configurations (Naive / Jumping / Memo. / Opt.). Uses
-// google-benchmark; one series per (query, strategy) pair.
+// evaluator configurations (Naive / Jumping / Memo. / Opt.), run straight
+// on the ASTA evaluator with the matching AstaEvalOptions. Uses
+// google-benchmark; one series per (query, configuration) pair.
 #include <benchmark/benchmark.h>
 
+#include "asta/eval.h"
 #include "bench_util.h"
 
 namespace xpwqo {
 namespace {
 
 void RunQuery(benchmark::State& state, const char* xpath,
-              EvalStrategy strategy) {
+              AstaEvalOptions options) {
   const Engine& engine = bench::XMarkEngine();
-  auto compiled = engine.Compile(xpath);
-  if (!compiled.ok()) {
-    state.SkipWithError(compiled.status().ToString().c_str());
+  auto query = PreparedQuery::Prepare(xpath, engine.alphabet_ptr());
+  if (!query.ok()) {
+    state.SkipWithError(query.status().ToString().c_str());
     return;
   }
-  QueryOptions options;
-  options.strategy = strategy;
+  // The no-jump configurations run without the label index.
+  const TreeIndex* index = options.jumping ? &engine.index() : nullptr;
   int64_t selected = 0;
   int64_t visited = 0;
   for (auto _ : state) {
-    auto r = engine.Run(*compiled, options);
-    if (!r.ok()) {
-      state.SkipWithError(r.status().ToString().c_str());
-      return;
-    }
-    selected = static_cast<int64_t>(r->nodes.size());
-    visited = r->stats.nodes_visited;
-    benchmark::DoNotOptimize(r->nodes.data());
+    AstaEvalResult r =
+        EvalAsta(query->asta(), engine.document(), index, options);
+    selected = static_cast<int64_t>(r.nodes.size());
+    visited = r.stats.nodes_visited;
+    benchmark::DoNotOptimize(r.nodes.data());
   }
   state.counters["selected"] = static_cast<double>(selected);
   state.counters["visited"] = static_cast<double>(visited);
@@ -37,21 +36,21 @@ void RunQuery(benchmark::State& state, const char* xpath,
 void RegisterAll() {
   struct Config {
     const char* name;
-    EvalStrategy strategy;
+    AstaEvalOptions options;  // {jumping, memoize, info_propagation}
   };
   const Config configs[] = {
-      {"Naive", EvalStrategy::kNaive},
-      {"Jumping", EvalStrategy::kJumping},
-      {"Memo", EvalStrategy::kMemoized},
-      {"Opt", EvalStrategy::kOptimized},
+      {"Naive", {false, false, false}},
+      {"Jumping", {true, false, false}},
+      {"Memo", {false, true, false}},
+      {"Opt", {true, true, true}},
   };
   for (const WorkloadQuery& q : Figure2Workload()) {
     for (const Config& c : configs) {
       std::string name = std::string(q.id) + "/" + c.name;
       benchmark::RegisterBenchmark(
           name.c_str(),
-          [xpath = q.xpath, strategy = c.strategy](benchmark::State& state) {
-            RunQuery(state, xpath, strategy);
+          [xpath = q.xpath, options = c.options](benchmark::State& state) {
+            RunQuery(state, xpath, options);
           })
           ->Unit(benchmark::kMillisecond);
     }

@@ -21,7 +21,7 @@ int Main() {
   for (Fig5Config config : {Fig5Config::kA, Fig5Config::kB, Fig5Config::kC,
                             Fig5Config::kD}) {
     Engine engine = Engine::FromDocument(BuildFig5Config(config));
-    auto compiled = engine.Compile(kQuery);
+    auto compiled = PreparedQuery::Prepare(kQuery, engine.alphabet_ptr());
     if (!compiled.ok()) return 1;
 
     QueryOptions hybrid_opt;

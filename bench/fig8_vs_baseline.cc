@@ -20,7 +20,7 @@ int Main() {
               "baseline(ms)", "speedup", "selected");
   double total_sxsi = 0, total_base = 0;
   for (const WorkloadQuery& q : Figure2Workload()) {
-    auto compiled = engine.Compile(q.xpath);
+    auto compiled = PreparedQuery::Prepare(q.xpath, engine.alphabet_ptr());
     if (!compiled.ok()) return 1;
     QueryOptions opt;
     opt.strategy = EvalStrategy::kOptimized;

@@ -157,23 +157,5 @@ int main(int argc, char** argv) {
                   *has_join ? "true" : "false");
     }
   }
-
-  // The classic single-document API is unchanged underneath — and every
-  // evaluation strategy of the paper is one option away. The string
-  // overload caches compilations, so re-running a query string skips
-  // parse + compile (stats report the cache hits).
-  const xpwqo::Engine* engine = library.Find("current");
-  xpwqo::QueryOptions naive;
-  naive.strategy = xpwqo::EvalStrategy::kNaive;
-  auto slow = engine->Run("//book/title", naive);
-  auto fast = engine->Run("//book/title");  // optimized: jumping + memo
-  if (slow.ok() && fast.ok()) {
-    std::printf(
-        "naive visited %lld nodes, optimized visited %lld, "
-        "query cache hits so far: %lld\n",
-        static_cast<long long>(slow->stats.nodes_visited),
-        static_cast<long long>(fast->stats.nodes_visited),
-        static_cast<long long>(fast->stats.query_cache_hits));
-  }
   return 0;
 }

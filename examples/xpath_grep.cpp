@@ -1,8 +1,7 @@
 // xpath_grep: command-line XPath search over an XML file or a saved index.
 //
 //   $ ./examples/xpath_grep '<query>' <file.xml> [--paths|--xml|--count]
-//                            [--strategy naive|jumping|memoized|optimized|
-//                                        hybrid|baseline]
+//                            [--strategy optimized|hybrid|baseline]
 //                            [--limit N] [--deadline-ms N] [--explain]
 //                            [--stats] [--save-index DIR]
 //   $ ./examples/xpath_grep '<query>' --index DIR [...]
@@ -45,8 +44,7 @@ int Usage() {
       stderr,
       "usage: xpath_grep '<query>' <file.xml> "
       "[--paths|--xml|--count|--exists]\n"
-      "                  [--strategy "
-      "naive|jumping|memoized|optimized|hybrid|baseline]\n"
+      "                  [--strategy optimized|hybrid|baseline]\n"
       "                  [--limit N] [--deadline-ms N] [--explain]\n"
       "                  [--stats] [--save-index DIR]\n"
       "       xpath_grep '<query>' --index DIR [options as above]\n");
@@ -103,13 +101,7 @@ int main(int argc, char** argv) {
       deadline_ms = n;
     } else if (!std::strcmp(argv[i], "--strategy") && i + 1 < argc) {
       std::string s = argv[++i];
-      if (s == "naive") {
-        options.strategy = xpwqo::EvalStrategy::kNaive;
-      } else if (s == "jumping") {
-        options.strategy = xpwqo::EvalStrategy::kJumping;
-      } else if (s == "memoized") {
-        options.strategy = xpwqo::EvalStrategy::kMemoized;
-      } else if (s == "optimized") {
+      if (s == "optimized") {
         options.strategy = xpwqo::EvalStrategy::kOptimized;
       } else if (s == "hybrid") {
         options.strategy = xpwqo::EvalStrategy::kHybrid;
@@ -137,7 +129,8 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr, "saved index image to %s\n", save_dir.c_str());
   }
-  auto compiled = engine->Compile(query);
+  auto compiled =
+      xpwqo::PreparedQuery::Prepare(query, engine->alphabet_ptr());
   if (!compiled.ok()) {
     std::fprintf(stderr, "error: %s\n",
                  compiled.status().ToString().c_str());

@@ -14,11 +14,18 @@ cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j"$(nproc)"
 (cd build && ctest --output-on-failure -j"$(nproc)")
 
-# The examples are tier-1 API surface: they must build (src/core/,
-# src/persist/ and src/util/ compile with -Wall -Wextra -Werror, so an API
-# wart that leaks a warning into the serving layer is a build failure) and
-# the quickstart must run clean.
+# The examples are tier-1 API surface: they must build and the quickstart
+# must run clean. The library (all of src/) and the test binary compile
+# with -Wall -Wextra -Werror in every configuration below (Release, ASan,
+# forced-scalar, TSan), so a warning anywhere in them fails the build.
 ./build/quickstart > /dev/null
+
+# The end-to-end benchmark (e2ebench/) is a separate CMake project over the
+# same library and the public API; build it here so an API change that
+# breaks it fails CI, and run its self-test (reference walk + checker).
+cmake -B build/e2ebench -S e2ebench -DCMAKE_BUILD_TYPE=Release
+cmake --build build/e2ebench -j"$(nproc)" --target xpbench
+./build/e2ebench/xpbench selftest | grep -q '"selftest": "ok"'
 printf '<r><a><k/></a><a><k/><k/></a></r>' > build/check_smoke.xml
 test "$(./build/xpath_grep '//k' build/check_smoke.xml --count)" = "3"
 test "$(./build/xpath_grep '//k' build/check_smoke.xml --count --limit 2)" = "2"

@@ -114,27 +114,6 @@ class HybridImpl final : public CursorImpl {
   HybridStream stream_;
 };
 
-AstaEvalOptions EvalOptionsFor(const QueryOptions& options) {
-  AstaEvalOptions eval;
-  switch (options.strategy) {
-    case EvalStrategy::kNaive:
-      eval = {false, false, false};
-      break;
-    case EvalStrategy::kJumping:
-      eval = {true, false, false};
-      break;
-    case EvalStrategy::kMemoized:
-      eval = {false, true, false};
-      break;
-    default:  // kOptimized and the hybrid fallback
-      eval = {true, true, true};
-      break;
-  }
-  eval.info_propagation = eval.info_propagation && options.info_propagation;
-  eval.control = options.control;
-  return eval;
-}
-
 /// Builds the relaxed-plan producer for the non-baseline strategies. When
 /// the query carries value predicates, MakeCursorImpl wraps the result in
 /// the verification stage (value_filter.cc).
@@ -161,21 +140,21 @@ StatusOr<std::unique_ptr<CursorImpl>> MakeRelaxedImpl(
         new EagerImpl(std::move(nodes).value(), std::move(stats)));
   }
 
-  // Automaton strategies (and the hybrid fallback when no plan applies).
-  const AstaEvalOptions eval = EvalOptionsFor(options);
-  const TreeIndex* index = eval.jumping ? ctx.index : nullptr;
-  if (allow_streaming && query.streamable() && eval.jumping &&
-      index != nullptr) {
+  // kOptimized (and the hybrid fallback when no plan applies): the default
+  // AstaEvalOptions — jumping + memoization + information propagation.
+  AstaEvalOptions eval;
+  eval.control = options.control;
+  if (allow_streaming && query.streamable() && ctx.index != nullptr) {
     AstaRegionStream stream =
         ctx.tree != nullptr
-            ? AstaRegionStream(query.asta(), *ctx.tree, index, eval)
-            : AstaRegionStream(query.asta(), *ctx.doc, index, eval);
+            ? AstaRegionStream(query.asta(), *ctx.tree, ctx.index, eval)
+            : AstaRegionStream(query.asta(), *ctx.doc, ctx.index, eval);
     return std::unique_ptr<CursorImpl>(new RegionImpl(std::move(stream)));
   }
-  AstaEvalResult r = ctx.tree != nullptr
-                         ? EvalAstaSuccinct(query.asta(), *ctx.tree, index,
-                                            eval)
-                         : EvalAsta(query.asta(), *ctx.doc, index, eval);
+  AstaEvalResult r =
+      ctx.tree != nullptr
+          ? EvalAstaSuccinct(query.asta(), *ctx.tree, ctx.index, eval)
+          : EvalAsta(query.asta(), *ctx.doc, ctx.index, eval);
   if (r.interrupt != StatusCode::kOk) return InterruptToStatus(r.interrupt);
   CursorStats stats;
   stats.eval = r.stats;

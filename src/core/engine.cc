@@ -120,20 +120,6 @@ StatusOr<Engine> Engine::FromXmlString(std::string_view xml,
   return Engine(std::move(doc), TreeBackend::kPointer);
 }
 
-StatusOr<Engine> Engine::FromXmlFile(const std::string& path,
-                                     TreeBackend backend) {
-  LoadOptions options;
-  options.backend = backend;
-  return FromXmlFile(path, options);
-}
-
-StatusOr<Engine> Engine::FromXmlString(std::string_view xml,
-                                       TreeBackend backend) {
-  LoadOptions options;
-  options.backend = backend;
-  return FromXmlString(xml, options);
-}
-
 Engine Engine::FromDocument(Document doc, TreeBackend backend) {
   return Engine(std::move(doc), backend);
 }
@@ -218,10 +204,6 @@ IndexMemoryReport Engine::IndexMemory() const {
                                            : doc_->MemoryUsage();
   report.text_store_bytes = text_ != nullptr ? text_->MemoryUsage() : 0;
   return report;
-}
-
-StatusOr<PreparedQuery> Engine::Compile(std::string_view xpath) const {
-  return PreparedQuery::Prepare(xpath, alphabet_);
 }
 
 internal::CursorContext Engine::Context() const {

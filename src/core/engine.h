@@ -98,10 +98,6 @@ struct IndexMemoryReport {
   }
 };
 
-/// Compatibility name: Engine::Compile has always returned a reusable
-/// compiled query; it is now the same object the serving API prepares.
-using CompiledQuery = PreparedQuery;
-
 /// One document plus its index; immutable after construction, cheap to move.
 class Engine {
  public:
@@ -111,11 +107,6 @@ class Engine {
                                       const LoadOptions& options = {});
   static StatusOr<Engine> FromXmlString(std::string_view xml,
                                         const LoadOptions& options = {});
-  /// Backend-only conveniences.
-  static StatusOr<Engine> FromXmlFile(const std::string& path,
-                                      TreeBackend backend);
-  static StatusOr<Engine> FromXmlString(std::string_view xml,
-                                        TreeBackend backend);
   /// Wraps an already-materialized Document (kept even on the succinct
   /// backend — it is already paid for; use the FromXml* loaders to avoid
   /// materializing one at all).
@@ -139,10 +130,6 @@ class Engine {
   Engine(Engine&&) noexcept;
   Engine& operator=(Engine&&) noexcept;
   ~Engine();
-
-  /// Parses and compiles an XPath expression of the supported fragment
-  /// against this engine's alphabet (equivalent to PreparedQuery::Prepare).
-  StatusOr<PreparedQuery> Compile(std::string_view xpath) const;
 
   /// Opens a streaming cursor over the query's results. The query must
   /// have been prepared against this engine's alphabet; it and the engine

@@ -1,8 +1,6 @@
 #include "core/prepared_query.h"
 
-#include "sta/minimize.h"
 #include "xpath/compile.h"
-#include "xpath/compile_sta.h"
 #include "xpath/parser.h"
 
 namespace xpwqo {
@@ -76,11 +74,6 @@ StatusOr<PreparedQuery> PreparedQuery::Prepare(
     XPWQO_ASSIGN_OR_RETURN(HybridPlan plan,
                            HybridPlan::Make(plan_path, alphabet.get()));
     query.hybrid_ = std::make_unique<HybridPlan>(std::move(plan));
-  }
-  if (IsTdstaCompilable(plan_path)) {
-    XPWQO_ASSIGN_OR_RETURN(Sta sta,
-                           CompileToTdsta(plan_path, alphabet.get()));
-    query.tdsta_ = std::make_unique<Sta>(MinimizeTopDown(sta));
   }
   query.streamable_ = true;
   for (const Step& step : plan_path.steps) {

@@ -1,8 +1,7 @@
 // PreparedQuery: an XPath string parsed and compiled exactly once against a
 // shared Alphabet — the serving-side "prepared statement". Holds every plan
-// the engines can run: the Path AST, the ASTA (all Figure-4 strategies), the
-// minimal TDSTA of the restricted fragment (the optimal jumping run of
-// Theorem 3.1), and a HybridPlan for descendant chains. A prepared query is
+// the serving strategies run: the Path AST (baseline), the ASTA (optimized)
+// and a HybridPlan for descendant chains (hybrid). A prepared query is
 // immutable after Prepare() and bindable to any document or Engine built
 // over the same Alphabet — compile once, run on every shard.
 //
@@ -19,7 +18,6 @@
 #include <string_view>
 
 #include "asta/asta.h"
-#include "sta/sta.h"
 #include "tree/alphabet.h"
 #include "util/status.h"
 #include "xpath/ast.h"
@@ -52,9 +50,6 @@ class PreparedQuery {
   const Asta& asta() const { return asta_; }
   /// Start-anywhere plan, or null when the path is not a //-chain.
   const HybridPlan* hybrid() const { return hybrid_.get(); }
-  /// Minimal TDSTA of the restricted fragment (drives TopDownJumpRun), or
-  /// null when the path needs alternation.
-  const Sta* tdsta() const { return tdsta_.get(); }
   /// True when a ResultCursor can emit matches incrementally: the path has
   /// no predicates, so every automaton mark is final the moment its region
   /// completes (selection queries of this shape never reject a tree).
@@ -66,8 +61,6 @@ class PreparedQuery {
   std::string ToString() const;
 
  private:
-  friend class Engine;  // Engine::Compile fills the same fields
-
   PreparedQuery() = default;
 
   std::shared_ptr<Alphabet> alphabet_;
@@ -76,7 +69,6 @@ class PreparedQuery {
   bool has_value_predicates_ = false;
   Asta asta_;
   std::unique_ptr<HybridPlan> hybrid_;  // null if not hybrid-evaluable
-  std::unique_ptr<Sta> tdsta_;          // null if not TDSTA-compilable
   bool streamable_ = false;
 };
 

@@ -4,12 +4,6 @@ namespace xpwqo {
 
 const char* EvalStrategyName(EvalStrategy strategy) {
   switch (strategy) {
-    case EvalStrategy::kNaive:
-      return "naive";
-    case EvalStrategy::kJumping:
-      return "jumping";
-    case EvalStrategy::kMemoized:
-      return "memoized";
     case EvalStrategy::kOptimized:
       return "optimized";
     case EvalStrategy::kHybrid:

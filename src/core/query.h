@@ -1,6 +1,9 @@
 // Query execution types shared by the serving surface (Engine, ResultCursor,
-// Collection): the evaluation strategies of Figure 4, per-run options, and
-// the result/statistics structs every execution path reports into.
+// Collection): the evaluation strategies, per-run options, and the
+// result/statistics structs every execution path reports into. The paper's
+// Figure-4 ablations (no jumping / no memoization / no information
+// propagation) are not strategies: the benches and tests that measure them
+// call EvalAsta/EvalAstaSuccinct with an AstaEvalOptions directly.
 #ifndef XPWQO_CORE_QUERY_H_
 #define XPWQO_CORE_QUERY_H_
 
@@ -14,11 +17,8 @@
 
 namespace xpwqo {
 
-/// How to evaluate a query. The first four correspond to Figure 4's series.
+/// How to evaluate a query.
 enum class EvalStrategy {
-  kNaive,      // Algorithm 4.1 as written: no jumping, no memoization
-  kJumping,    // relevant-node jumping only
-  kMemoized,   // memoization only
   kOptimized,  // jumping + memoization + information propagation (default)
   kHybrid,     // start-anywhere (falls back to kOptimized when inapplicable)
   kBaseline,   // step-wise node-set evaluation (the MonetDB stand-in)
@@ -28,9 +28,6 @@ const char* EvalStrategyName(EvalStrategy strategy);
 
 struct QueryOptions {
   EvalStrategy strategy = EvalStrategy::kOptimized;
-  /// Information propagation (only meaningful for the automaton
-  /// strategies; Figure 4's four series keep it off except kOptimized).
-  bool info_propagation = true;
   /// Deadline / cancellation / visited-node budget for this run, or null
   /// for ungoverned evaluation (the default). Must outlive the run (and
   /// the cursor, for OpenCursor). Enforced by the automaton and hybrid

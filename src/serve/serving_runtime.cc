@@ -394,7 +394,7 @@ Status ServingRuntime::RunDocument(const std::string& name, Ticket::Job& job,
       // The control lives on this frame and the cursor dies before it.
       ExecControl control =
           ctx.MakeControl(ctx.max_visited >= 0 ? *budget_left : -1);
-      QueryOptions query_options = options_.query;
+      QueryOptions query_options;
       query_options.control = &control;
       StatusOr<ResultCursor> cursor =
           (*engine)->OpenCursor(job.query, query_options);

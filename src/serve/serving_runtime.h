@@ -51,6 +51,9 @@
 
 namespace xpwqo {
 
+/// Pool, admission and retry settings. There is no evaluation knob: every
+/// job runs the default QueryOptions (the kOptimized plan) under an
+/// ExecControl the runtime builds from the request's QueryContext.
 struct ServingRuntimeOptions {
   /// Worker threads — the concurrent-query cap.
   int num_threads = 4;
@@ -68,9 +71,6 @@ struct ServingRuntimeOptions {
   /// (scrub_sweeps / scrub_docs_checked / scrub_quarantined); the thread
   /// joins cleanly with the pool on Shutdown.
   std::chrono::milliseconds scrub_interval{0};
-  /// Evaluation options for every job (strategy etc.); the per-job
-  /// ExecControl is injected by the runtime, so `query.control` is ignored.
-  QueryOptions query;
 };
 
 /// Per-request parameters of one Submit call.

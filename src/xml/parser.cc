@@ -47,7 +47,6 @@ constexpr std::array<bool, 256> MakeSpace() {
 constexpr std::array<bool, 256> kSpace = MakeSpace();
 
 bool IsNameStart(char c) { return kNameStart[static_cast<unsigned char>(c)]; }
-bool IsSpace(char c) { return kSpace[static_cast<unsigned char>(c)]; }
 
 constexpr std::string_view kSpaceChars = " \t\r\n";
 

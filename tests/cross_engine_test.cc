@@ -42,9 +42,7 @@ void CheckCursors(const internal::CursorContext& ctx,
                   const PreparedQuery& query,
                   const std::vector<NodeId>& expect, const char* backend) {
   const EvalStrategy strategies[] = {
-      EvalStrategy::kNaive,     EvalStrategy::kJumping,
-      EvalStrategy::kMemoized,  EvalStrategy::kOptimized,
-      EvalStrategy::kHybrid,    EvalStrategy::kBaseline,
+      EvalStrategy::kOptimized, EvalStrategy::kHybrid, EvalStrategy::kBaseline,
   };
   for (EvalStrategy s : strategies) {
     if (s == EvalStrategy::kBaseline && ctx.doc == nullptr) continue;
@@ -156,7 +154,8 @@ class CrossEngineRandomTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CrossEngineRandomTest, RandomQueriesOnRandomDocuments) {
   uint64_t seed = GetParam();
-  Document doc = RandomTree(seed, {.num_nodes = 120 + 40 * (seed % 5),
+  const int size_step = static_cast<int>(seed % 5);
+  Document doc = RandomTree(seed, {.num_nodes = 120 + 40 * size_step,
                                    .num_labels = 3,
                                    .descend_prob = 0.35 + 0.05 * (seed % 4)});
   Random rng(seed * 77 + 5);
@@ -176,8 +175,9 @@ TEST_P(CrossEngineJumpHeavyTest, DescendantHeavyQueries) {
   // run inside the label-index enumeration (the path the succinct-backed
   // TreeIndex has to get right).
   uint64_t seed = GetParam();
+  const int size_step = static_cast<int>(seed % 4);
   Document doc = RandomTree(seed * 131 + 7,
-                            {.num_nodes = 200 + 60 * (seed % 4),
+                            {.num_nodes = 200 + 60 * size_step,
                              .num_labels = 5,
                              .descend_prob = 0.45});
   Random rng(seed * 913 + 3);

@@ -10,13 +10,17 @@
 
 #include "core/collection.h"
 #include "core/engine.h"
+#include "sta/minimize.h"
 #include "sta/topdown_jump.h"
 #include "test_util.h"
 #include "xmark/generator.h"
 #include "xmark/workload.h"
+#include "xpath/compile_sta.h"
 
 namespace xpwqo {
 namespace {
+
+using testing_util::OnBackend;
 
 const Engine& PointerEngine() {
   static Engine* engine = [] {
@@ -38,15 +42,13 @@ const Engine& SuccinctEngine() {
 }
 
 constexpr EvalStrategy kAllStrategies[] = {
-    EvalStrategy::kNaive,     EvalStrategy::kJumping,
-    EvalStrategy::kMemoized,  EvalStrategy::kOptimized,
-    EvalStrategy::kHybrid,    EvalStrategy::kBaseline,
+    EvalStrategy::kOptimized, EvalStrategy::kHybrid, EvalStrategy::kBaseline,
 };
 
 TEST(ResultCursorTest, DrainMatchesRunOnEveryStrategyAndBackend) {
   for (const Engine* engine : {&PointerEngine(), &SuccinctEngine()}) {
     for (const WorkloadQuery& wq : Figure2Workload()) {
-      auto query = engine->Compile(wq.xpath);
+      auto query = PreparedQuery::Prepare(wq.xpath, engine->alphabet_ptr());
       ASSERT_TRUE(query.ok()) << wq.id;
       for (EvalStrategy s : kAllStrategies) {
         QueryOptions opts;
@@ -69,7 +71,7 @@ TEST(ResultCursorTest, LimitKIsAPrefixOfTheFullRun) {
     for (const char* xpath :
          {"//listitem//keyword", "//keyword", "/site//keyword",
           "//listitem[.//keyword]//emph"}) {
-      auto query = engine->Compile(xpath);
+      auto query = PreparedQuery::Prepare(xpath, engine->alphabet_ptr());
       ASSERT_TRUE(query.ok());
       auto full = engine->Run(*query);
       ASSERT_TRUE(full.ok());
@@ -91,7 +93,8 @@ TEST(ResultCursorTest, StreamingLimitVisitsLessThanFullRun) {
   // jump-friendly query drives a small fraction of the document, with the
   // visit counters scaling in k.
   const Engine& engine = SuccinctEngine();
-  auto query = engine.Compile("//listitem//keyword");
+  auto query =
+      PreparedQuery::Prepare("//listitem//keyword", engine.alphabet_ptr());
   ASSERT_TRUE(query.ok());
   ASSERT_TRUE(query->streamable());
   auto full = engine.Run(*query);
@@ -115,7 +118,8 @@ TEST(ResultCursorTest, StreamingLimitVisitsLessThanFullRun) {
 
 TEST(ResultCursorTest, HybridCursorStreams) {
   for (const Engine* engine : {&PointerEngine(), &SuccinctEngine()}) {
-    auto query = engine->Compile("//listitem//keyword");
+    auto query =
+        PreparedQuery::Prepare("//listitem//keyword", engine->alphabet_ptr());
     ASSERT_TRUE(query.ok());
     ASSERT_NE(query->hybrid(), nullptr);
     QueryOptions opts;
@@ -142,11 +146,11 @@ TEST(ResultCursorTest, SeekGeSkipsForward) {
   for (const Engine* engine : {&PointerEngine(), &SuccinctEngine()}) {
     for (EvalStrategy s :
          {EvalStrategy::kOptimized, EvalStrategy::kHybrid,
-          EvalStrategy::kNaive, EvalStrategy::kBaseline}) {
+          EvalStrategy::kBaseline}) {
       if (s == EvalStrategy::kBaseline && !engine->has_document()) continue;
       QueryOptions opts;
       opts.strategy = s;
-      auto query = engine->Compile("//keyword");
+      auto query = PreparedQuery::Prepare("//keyword", engine->alphabet_ptr());
       ASSERT_TRUE(query.ok());
       auto full = engine->Run(*query, opts);
       ASSERT_TRUE(full.ok());
@@ -184,7 +188,7 @@ TEST(ResultCursorTest, StringOverloadCachesCompilations) {
   EXPECT_EQ(r2->nodes, r1->nodes);
   // A different string compiles fresh; re-running the first still hits.
   ASSERT_TRUE(engine.Run("//listitem").ok());
-  auto r3 = engine.Run("//keyword", QueryOptions{EvalStrategy::kNaive});
+  auto r3 = engine.Run("//keyword", QueryOptions{EvalStrategy::kHybrid});
   ASSERT_TRUE(r3.ok());
   EXPECT_EQ(r3->stats.query_cache_hits, 2);
   EXPECT_EQ(r3->nodes, r1->nodes);
@@ -205,7 +209,7 @@ TEST(ResultCursorTest, QueryFromForeignAlphabetIsRejected) {
 
 TEST(ResultCursorTest, BaselineRequiresPointerDocument) {
   auto engine = Engine::FromXmlString("<a><b/><b/></a>",
-                                      TreeBackend::kSuccinct);
+                                      OnBackend(TreeBackend::kSuccinct));
   ASSERT_TRUE(engine.ok());
   ASSERT_FALSE(engine->has_document());
   QueryOptions opts;
@@ -230,36 +234,40 @@ TEST(ResultCursorTest, EmptyResultCursorsExhaustImmediately) {
 
 TEST(PreparedQueryTest, ExposesEveryCompiledPlan) {
   auto& engine = PointerEngine();
-  auto chain = engine.Compile("//listitem//keyword");
+  auto chain =
+      PreparedQuery::Prepare("//listitem//keyword", engine.alphabet_ptr());
   ASSERT_TRUE(chain.ok());
   EXPECT_NE(chain->hybrid(), nullptr);
-  EXPECT_NE(chain->tdsta(), nullptr);
   EXPECT_TRUE(chain->streamable());
   EXPECT_EQ(chain->ToString(), "/descendant::listitem/descendant::keyword");
 
-  auto pred = engine.Compile("//listitem[.//keyword]");
+  auto pred =
+      PreparedQuery::Prepare("//listitem[.//keyword]", engine.alphabet_ptr());
   ASSERT_TRUE(pred.ok());
   EXPECT_EQ(pred->hybrid(), nullptr);
-  EXPECT_EQ(pred->tdsta(), nullptr);
   EXPECT_FALSE(pred->streamable());
 }
 
 TEST(PreparedQueryTest, MinimalTdstaDrivesTruncatedJumpRuns) {
+  // The minimal TDSTA of Theorem 3.1 is not a serving plan; it is compiled
+  // on demand from the query's path and must agree with the served result.
   const Engine& engine = PointerEngine();
-  auto query = engine.Compile("//listitem//keyword");
+  auto query =
+      PreparedQuery::Prepare("//listitem//keyword", engine.alphabet_ptr());
   ASSERT_TRUE(query.ok());
-  ASSERT_NE(query->tdsta(), nullptr);
+  auto sta = CompileToTdsta(query->path(), engine.alphabet_ptr().get());
+  ASSERT_TRUE(sta.ok());
+  const Sta tdsta = MinimizeTopDown(*sta);
   auto full = engine.Run(*query);
   ASSERT_TRUE(full.ok());
   JumpRunResult all =
-      TopDownJumpRun(*query->tdsta(), engine.document(), engine.index());
+      TopDownJumpRun(tdsta, engine.document(), engine.index());
   ASSERT_TRUE(all.accepting);
   EXPECT_EQ(all.selected, full->nodes);
   JumpRunOptions limit;
   limit.max_selected = 5;
   JumpRunResult first =
-      TopDownJumpRun(*query->tdsta(), engine.document(), engine.index(),
-                     limit);
+      TopDownJumpRun(tdsta, engine.document(), engine.index(), limit);
   ASSERT_EQ(first.selected.size(),
             std::min<size_t>(5, full->nodes.size()));
   EXPECT_TRUE(std::equal(first.selected.begin(), first.selected.end(),
@@ -272,11 +280,13 @@ TEST(PreparedQueryTest, SharedAcrossTwoThreads) {
   // Const-thread-safety smoke test (run under ASan/TSan-less CI, but the
   // sanitizer pass in scripts/check.sh executes it under ASan+UBSan): one
   // PreparedQuery, two threads, both backends, many runs each.
-  auto query = PointerEngine().Compile("//listitem//keyword");
+  auto query = PreparedQuery::Prepare("//listitem//keyword",
+                                      PointerEngine().alphabet_ptr());
   ASSERT_TRUE(query.ok());
   auto expect_pointer = PointerEngine().Run(*query);
   ASSERT_TRUE(expect_pointer.ok());
-  auto query_succinct = SuccinctEngine().Compile("//listitem//keyword");
+  auto query_succinct = PreparedQuery::Prepare("//listitem//keyword",
+                                               SuccinctEngine().alphabet_ptr());
   ASSERT_TRUE(query_succinct.ok());
   auto expect_succinct = SuccinctEngine().Run(*query_succinct);
   ASSERT_TRUE(expect_succinct.ok());

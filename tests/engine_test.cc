@@ -26,7 +26,7 @@ TEST(EngineTest, FromXmlStringAndRun) {
 TEST(EngineTest, CompiledQueryReuse) {
   auto engine = Engine::FromXmlString(kXml);
   ASSERT_TRUE(engine.ok());
-  auto query = engine->Compile("//keyword");
+  auto query = PreparedQuery::Prepare("//keyword", engine->alphabet_ptr());
   ASSERT_TRUE(query.ok());
   for (int i = 0; i < 3; ++i) {
     auto r = engine->Run(*query);
@@ -40,9 +40,7 @@ TEST(EngineTest, AllStrategiesAgree) {
   auto engine = Engine::FromXmlString(kXml);
   ASSERT_TRUE(engine.ok());
   const EvalStrategy strategies[] = {
-      EvalStrategy::kNaive,     EvalStrategy::kJumping,
-      EvalStrategy::kMemoized,  EvalStrategy::kOptimized,
-      EvalStrategy::kHybrid,    EvalStrategy::kBaseline,
+      EvalStrategy::kOptimized, EvalStrategy::kHybrid, EvalStrategy::kBaseline,
   };
   for (const char* q :
        {"//keyword", "/site/people/person[address and phone]",
@@ -53,7 +51,7 @@ TEST(EngineTest, AllStrategiesAgree) {
       opts.strategy = s;
       auto r = engine->Run(q, opts);
       ASSERT_TRUE(r.ok()) << q << " " << EvalStrategyName(s);
-      if (s == EvalStrategy::kNaive) {
+      if (s == EvalStrategy::kOptimized) {
         first = r->nodes;
       } else {
         EXPECT_EQ(r->nodes, first) << q << " " << EvalStrategyName(s);
@@ -80,7 +78,7 @@ TEST(EngineTest, ParseErrorsPropagate) {
   auto engine = Engine::FromXmlString(kXml);
   ASSERT_TRUE(engine.ok());
   EXPECT_FALSE(engine->Run("//a[").ok());
-  EXPECT_FALSE(engine->Compile("").ok());
+  EXPECT_FALSE(PreparedQuery::Prepare("", engine->alphabet_ptr()).ok());
 }
 
 TEST(EngineTest, BadXmlPropagates) {
@@ -111,9 +109,7 @@ TEST(EngineTest, SuccinctBackendAgreesOnEveryStrategy) {
   ASSERT_NE(succinct.succinct_tree(), nullptr);
   ASSERT_NE(succinct.index().succinct(), nullptr);
   const EvalStrategy strategies[] = {
-      EvalStrategy::kNaive,     EvalStrategy::kJumping,
-      EvalStrategy::kMemoized,  EvalStrategy::kOptimized,
-      EvalStrategy::kHybrid,    EvalStrategy::kBaseline,
+      EvalStrategy::kOptimized, EvalStrategy::kHybrid, EvalStrategy::kBaseline,
   };
   for (const WorkloadQuery& wq : Figure2Workload()) {
     auto expect = pointer.Run(wq.xpath);
@@ -139,6 +135,7 @@ TEST(EngineTest, StatsPopulated) {
 
 TEST(EngineTest, StrategyNames) {
   EXPECT_STREQ(EvalStrategyName(EvalStrategy::kOptimized), "optimized");
+  EXPECT_STREQ(EvalStrategyName(EvalStrategy::kHybrid), "hybrid");
   EXPECT_STREQ(EvalStrategyName(EvalStrategy::kBaseline), "baseline");
 }
 
@@ -166,8 +163,7 @@ TEST_P(WorkloadAgreementTest, AllStrategiesAgreeOnXMark) {
   auto expect = engine.Run(wq.xpath, base);
   ASSERT_TRUE(expect.ok()) << wq.id << ": " << expect.status();
   for (EvalStrategy s :
-       {EvalStrategy::kNaive, EvalStrategy::kJumping, EvalStrategy::kMemoized,
-        EvalStrategy::kOptimized, EvalStrategy::kHybrid}) {
+       {EvalStrategy::kOptimized, EvalStrategy::kHybrid}) {
     QueryOptions opts;
     opts.strategy = s;
     auto r = engine.Run(wq.xpath, opts);

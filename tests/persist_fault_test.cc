@@ -32,6 +32,7 @@ namespace xpwqo {
 namespace {
 
 using persist::Corruptor;
+using testing_util::OnBackend;
 
 std::string FreshDir(const char* tag) {
   // ctest runs each test as its own process, so the name needs the pid —
@@ -54,7 +55,7 @@ class PersistFaultTest : public ::testing::Test {
              std::to_string(i % 7) + "</name></item>";
     }
     xml += "</root>";
-    auto engine = Engine::FromXmlString(xml, TreeBackend::kSuccinct);
+    auto engine = Engine::FromXmlString(xml, OnBackend(TreeBackend::kSuccinct));
     ASSERT_TRUE(engine.ok()) << engine.status();
     image_ = SerializeIndexImage(*engine);
     auto checked = ValidateIndexImage(

@@ -23,6 +23,7 @@
 namespace xpwqo {
 namespace {
 
+using testing_util::OnBackend;
 using testing_util::QueryGenOptions;
 using testing_util::RandomQuery;
 using testing_util::RandomTree;
@@ -40,11 +41,8 @@ std::string FreshDir(const char* tag) {
 
 /// Strategies an image-opened (succinct-backend) engine supports: all but
 /// kBaseline, which steps a pointer Document the image never stores.
-const EvalStrategy kImageStrategies[] = {
-    EvalStrategy::kNaive,     EvalStrategy::kJumping,
-    EvalStrategy::kMemoized,  EvalStrategy::kOptimized,
-    EvalStrategy::kHybrid,
-};
+const EvalStrategy kImageStrategies[] = {EvalStrategy::kOptimized,
+                                         EvalStrategy::kHybrid};
 
 void ExpectQueryParity(const Engine& built, const Engine& opened,
                        const std::string& query) {
@@ -70,7 +68,7 @@ TEST(PersistRoundtripTest, RandomCorpusQueryParityAcrossStrategies) {
     const std::string xml = SerializeXml(doc);
     SCOPED_TRACE("seed " + std::to_string(seed));
 
-    auto built = Engine::FromXmlString(xml, TreeBackend::kSuccinct);
+    auto built = Engine::FromXmlString(xml, OnBackend(TreeBackend::kSuccinct));
     ASSERT_TRUE(built.ok()) << built.status();
     const std::string dir = FreshDir("corpus");
     ASSERT_TRUE(SaveIndexImage(*built, dir).ok());
@@ -92,7 +90,7 @@ TEST(PersistRoundtripTest, PointerBackendEngineSavesAndReopens) {
   // preorder ranks on both, so answers (and PathTo) carry over.
   auto built = Engine::FromXmlString(
       "<lib><shelf><book/><book><note/></book></shelf><shelf/></lib>",
-      TreeBackend::kPointer);
+      OnBackend(TreeBackend::kPointer));
   ASSERT_TRUE(built.ok()) << built.status();
   const std::string dir = FreshDir("pointer");
   ASSERT_TRUE(SaveIndexImage(*built, dir).ok());
@@ -111,7 +109,7 @@ TEST(PersistRoundtripTest, SerializationIsAFixpoint) {
     tree_options.num_nodes = 150;
     tree_options.num_labels = 4;
     const std::string xml = SerializeXml(RandomTree(seed, tree_options));
-    auto built = Engine::FromXmlString(xml, TreeBackend::kSuccinct);
+    auto built = Engine::FromXmlString(xml, OnBackend(TreeBackend::kSuccinct));
     ASSERT_TRUE(built.ok()) << built.status();
 
     // Same engine, same bytes.
@@ -130,7 +128,7 @@ TEST(PersistRoundtripTest, SerializationIsAFixpoint) {
 
 TEST(PersistRoundtripTest, ValidateReportsLayout) {
   auto built = Engine::FromXmlString("<a v='1'><b/><b><c>hi</c></b></a>",
-                                     TreeBackend::kSuccinct);
+                                     OnBackend(TreeBackend::kSuccinct));
   ASSERT_TRUE(built.ok());
   const std::string image = SerializeIndexImage(*built);
   auto checked = ValidateIndexImage(
@@ -158,7 +156,7 @@ TEST(PersistRoundtripTest, TextSurvivesRoundtripWithFixpoint) {
       "<site><item id='a1'><name>apple pie</name><price>7</price></item>"
       "<item id='b2'><name>banana</name><price>7</price></item>"
       "<item id='c3'><name>cherry</name></item></site>";
-  auto built = Engine::FromXmlString(xml, TreeBackend::kSuccinct);
+  auto built = Engine::FromXmlString(xml, OnBackend(TreeBackend::kSuccinct));
   ASSERT_TRUE(built.ok()) << built.status();
   ASSERT_NE(built->text_store(), nullptr);
   const std::string image = SerializeIndexImage(*built);
@@ -184,7 +182,8 @@ TEST(PersistRoundtripTest, TextSurvivesRoundtripWithFixpoint) {
 }
 
 TEST(PersistRoundtripTest, SingleNodeDocumentRoundtrips) {
-  auto built = Engine::FromXmlString("<only/>", TreeBackend::kSuccinct);
+  auto built = Engine::FromXmlString("<only/>",
+                                     OnBackend(TreeBackend::kSuccinct));
   ASSERT_TRUE(built.ok());
   const std::string dir = FreshDir("tiny");
   ASSERT_TRUE(SaveIndexImage(*built, dir).ok());
@@ -261,7 +260,7 @@ TEST(PersistRoundtripTest, CollectionReopensLazily) {
 
 TEST(PersistRoundtripTest, SaveThenResaveProducesIdenticalFiles) {
   auto built = Engine::FromXmlString("<r><s/><t><u/></t></r>",
-                                     TreeBackend::kSuccinct);
+                                     OnBackend(TreeBackend::kSuccinct));
   ASSERT_TRUE(built.ok());
   const std::string dir = FreshDir("resave");
   ASSERT_TRUE(SaveIndexImage(*built, dir).ok());

@@ -17,6 +17,7 @@
 #include "core/prepared_query.h"
 #include "persist/index_image.h"
 #include "query_gen.h"
+#include "test_util.h"
 #include "tree/document.h"
 #include "util/random.h"
 #include "xmark/generator.h"
@@ -25,6 +26,7 @@
 namespace xpwqo {
 namespace {
 
+using testing_util::OnBackend;
 using testing_util::QueryGenOptions;
 using testing_util::RandomQuery;
 
@@ -36,11 +38,8 @@ std::string FreshDir(const char* tag) {
 
 /// Strategies every engine path supports (kBaseline additionally runs on
 /// the pointer engine as the oracle).
-const EvalStrategy kStrategies[] = {
-    EvalStrategy::kNaive,     EvalStrategy::kJumping,
-    EvalStrategy::kMemoized,  EvalStrategy::kOptimized,
-    EvalStrategy::kHybrid,
-};
+const EvalStrategy kStrategies[] = {EvalStrategy::kOptimized,
+                                    EvalStrategy::kHybrid};
 
 /// The four engine paths of the parity matrix, built from one XML string.
 struct EngineMatrix {
@@ -49,9 +48,10 @@ struct EngineMatrix {
   Engine reopened;
 
   static EngineMatrix Build(const std::string& xml, const char* tag) {
-    auto pointer = Engine::FromXmlString(xml, TreeBackend::kPointer);
+    auto pointer = Engine::FromXmlString(xml, OnBackend(TreeBackend::kPointer));
     EXPECT_TRUE(pointer.ok()) << pointer.status();
-    auto succinct = Engine::FromXmlString(xml, TreeBackend::kSuccinct);
+    auto succinct = Engine::FromXmlString(xml,
+                                          OnBackend(TreeBackend::kSuccinct));
     EXPECT_TRUE(succinct.ok()) << succinct.status();
     const std::string dir = FreshDir(tag);
     EXPECT_TRUE(SaveIndexImage(*succinct, dir).ok());
@@ -227,7 +227,8 @@ TEST(PredicateQueryTest, ExistsAndCountPushDownThroughTheFilter) {
   XMarkOptions opt;
   opt.scale = 0.004;
   const Document doc = GenerateXMark(opt);
-  auto engine = Engine::FromXmlString(SerializeXml(doc), TreeBackend::kSuccinct);
+  auto engine = Engine::FromXmlString(SerializeXml(doc),
+                                      OnBackend(TreeBackend::kSuccinct));
   ASSERT_TRUE(engine.ok()) << engine.status();
 
   const std::string queries[] = {
@@ -267,7 +268,8 @@ TEST(PredicateQueryTest, ExistsAndCountPushDownThroughTheFilter) {
 
 TEST(PredicateQueryTest, FilterStatsAccountForCheckedAndRejected) {
   auto engine = Engine::FromXmlString(
-      "<r><a>x</a><a>y</a><a>x</a><a/><b>x</b></r>", TreeBackend::kSuccinct);
+      "<r><a>x</a><a>y</a><a>x</a><a/><b>x</b></r>",
+      OnBackend(TreeBackend::kSuccinct));
   ASSERT_TRUE(engine.ok()) << engine.status();
 
   auto cursor = engine->OpenCursor("//a[text()='x']");

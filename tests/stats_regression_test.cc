@@ -5,6 +5,7 @@
 // though results stay correct.
 #include <gtest/gtest.h>
 
+#include "asta/eval.h"
 #include "core/engine.h"
 #include "xmark/fig5_configs.h"
 #include "xmark/generator.h"
@@ -27,6 +28,18 @@ QueryResult RunOpt(const char* xpath) {
   EXPECT_TRUE(r.ok()) << r.status();
   return std::move(r).value();
 }
+
+/// A no-jump Figure-4 ablation, run straight on the evaluator without the
+/// label index (the serving strategies only run the optimized one).
+AstaEvalResult RunAblation(const char* xpath, AstaEvalOptions options) {
+  const Engine& engine = SharedEngine();
+  auto query = PreparedQuery::Prepare(xpath, engine.alphabet_ptr());
+  EXPECT_TRUE(query.ok()) << query.status();
+  return EvalAsta(query->asta(), engine.document(), nullptr, options);
+}
+
+constexpr AstaEvalOptions kNaive{false, false, false};
+constexpr AstaEvalOptions kMemoOnly{false, true, false};
 
 TEST(StatsRegressionTest, Q01TouchesTwoNodes) {
   // Paper Figure 3: Q01 selects 1 node and visits 2.
@@ -77,10 +90,9 @@ TEST(StatsRegressionTest, Q05VisitsFractionOfDocument) {
   QueryResult r = RunOpt("//listitem//keyword");
   EXPECT_LT(r.stats.nodes_visited,
             SharedEngine().document().num_nodes() / 10);
-  QueryOptions memo;
-  memo.strategy = EvalStrategy::kMemoized;
-  auto full = SharedEngine().Run("//listitem//keyword", memo);
-  EXPECT_EQ(full->stats.nodes_visited,
+  AstaEvalResult full = RunAblation("//listitem//keyword", kMemoOnly);
+  EXPECT_EQ(full.nodes, r.nodes);
+  EXPECT_EQ(full.stats.nodes_visited,
             SharedEngine().document().num_nodes());
 }
 
@@ -98,11 +110,9 @@ TEST(StatsRegressionTest, MemoTableStaysTiny) {
 TEST(StatsRegressionTest, NaiveWithEmptyMasksSkipsForRootedQueries) {
   // Figure 3 line (3): Q01 visits ~20 nodes even without jumping (subtree
   // skipping through empty r-sets).
-  QueryOptions memo;
-  memo.strategy = EvalStrategy::kMemoized;
-  auto r = SharedEngine().Run("/site/regions", memo);
-  ASSERT_TRUE(r.ok());
-  EXPECT_LT(r->stats.nodes_visited, 30);
+  AstaEvalResult r = RunAblation("/site/regions", kMemoOnly);
+  EXPECT_EQ(r.nodes.size(), 1u);
+  EXPECT_LT(r.stats.nodes_visited, 30);
 }
 
 TEST(StatsRegressionTest, Fig5HybridVisitCounts) {
@@ -129,11 +139,10 @@ TEST(StatsRegressionTest, Fig5HybridVisitCounts) {
 TEST(StatsRegressionTest, JumpCountsReported) {
   QueryResult r = RunOpt("//listitem//keyword");
   EXPECT_GT(r.stats.jumps, 0);
-  QueryOptions naive;
-  naive.strategy = EvalStrategy::kNaive;
-  auto n = SharedEngine().Run("//listitem//keyword", naive);
-  EXPECT_EQ(n->stats.jumps, 0);
-  EXPECT_EQ(n->stats.memo_step_entries, 0);
+  AstaEvalResult n = RunAblation("//listitem//keyword", kNaive);
+  EXPECT_EQ(n.nodes, r.nodes);
+  EXPECT_EQ(n.stats.jumps, 0);
+  EXPECT_EQ(n.stats.memo_step_entries, 0);
 }
 
 }  // namespace

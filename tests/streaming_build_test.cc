@@ -29,6 +29,7 @@ namespace xpwqo {
 namespace {
 
 using testing_util::BracketString;
+using testing_util::OnBackend;
 
 /// The xml_parser_test input corpus (every construct the parser supports),
 /// plus chunk-boundary stressors: multi-byte tokens straddling any split.
@@ -344,7 +345,7 @@ TEST(StreamingBuildTest, EngineStreamedSuccinctMatchesMaterialized) {
   Document doc = GenerateXMark(opt);
   const std::string xml = SerializeXml(doc);
 
-  auto streamed = Engine::FromXmlString(xml, TreeBackend::kSuccinct);
+  auto streamed = Engine::FromXmlString(xml, OnBackend(TreeBackend::kSuccinct));
   ASSERT_TRUE(streamed.ok()) << streamed.status();
   EXPECT_EQ(streamed->backend(), TreeBackend::kSuccinct);
   EXPECT_FALSE(streamed->has_document());

@@ -128,5 +128,11 @@ std::vector<NodeId> NodesWithLabel(const Document& doc, LabelId label) {
   return out;
 }
 
+LoadOptions OnBackend(TreeBackend backend) {
+  LoadOptions options;
+  options.backend = backend;
+  return options;
+}
+
 }  // namespace testing_util
 }  // namespace xpwqo

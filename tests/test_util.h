@@ -1,5 +1,6 @@
 // Shared helpers for the test suites: tiny-document construction from a
-// bracket notation and deterministic random tree generation.
+// bracket notation, deterministic random tree generation, and engine load
+// options.
 #ifndef XPWQO_TESTS_TEST_UTIL_H_
 #define XPWQO_TESTS_TEST_UTIL_H_
 
@@ -7,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/engine.h"
 #include "tree/document.h"
 #include "util/random.h"
 
@@ -35,6 +37,10 @@ Document RandomTree(uint64_t seed, const RandomTreeOptions& options = {});
 
 /// All nodes of `doc` whose label id is `label`, in document order.
 std::vector<NodeId> NodesWithLabel(const Document& doc, LabelId label);
+
+/// LoadOptions that select `backend` and keep every other default (GCC's
+/// -Wmissing-field-initializers rejects a partial designated initializer).
+LoadOptions OnBackend(TreeBackend backend);
 
 }  // namespace testing_util
 }  // namespace xpwqo
